@@ -374,24 +374,42 @@ func BenchmarkNameMatcherSimilarity(b *testing.B) {
 	}
 }
 
-func BenchmarkEnsembleMatch(b *testing.B) {
+// ensembleBenchSchema picks the first bench-corpus schema with at least 20
+// elements — a mid-sized candidate for the per-candidate match benches.
+func ensembleBenchSchema(b *testing.B) *model.Schema {
 	repo := benchRepo(b, 500)
-	var s *model.Schema
 	for _, cand := range repo.All() {
 		if cand.NumElements() >= 20 {
-			s = cand
-			break
+			return cand
 		}
 	}
-	if s == nil {
-		s = repo.All()[0]
-	}
+	return repo.All()[0]
+}
+
+func BenchmarkEnsembleMatch(b *testing.B) {
+	s := ensembleBenchSchema(b)
 	q := paperQuery(b)
 	en := match.DefaultEnsemble()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		en.Match(q, s)
+	}
+}
+
+// BenchmarkEnsembleMatchProfiled is BenchmarkEnsembleMatch on the profiled
+// path the engine serves from: the candidate's profile and the query's
+// artifacts are built once, outside the timer, so each iteration is the
+// per-candidate phase-2 kernel alone.
+func BenchmarkEnsembleMatchProfiled(b *testing.B) {
+	s := ensembleBenchSchema(b)
+	qa := match.NewQueryArtifacts(paperQuery(b))
+	p := match.NewProfile(s)
+	en := match.DefaultEnsemble()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		en.MatchProfiled(qa, p)
 	}
 }
 

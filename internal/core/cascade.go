@@ -213,6 +213,7 @@ dispatch:
 			} else {
 				prog = ensemble.NewProgressive(q, s)
 			}
+			defer prog.Release()
 			colUB := make([]float64, prog.Cols())
 			rowUB := make([]float64, prog.Rows())
 			// Bounds are checked BEFORE every Step, including the first:

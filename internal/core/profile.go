@@ -33,12 +33,14 @@ type profileCache struct {
 	// Observability instruments (nil-safe; nil when metrics are disabled).
 	// hits/misses measure the lookup economics on the search path; evicts
 	// counts change-feed invalidations and resets; build is the latency of
-	// match.NewProfile, the one-time cost a miss pays.
+	// match.NewProfile, the one-time cost a miss pays; grams tracks the
+	// process-wide n-gram dictionary profile builds intern into.
 	hits   *obs.Counter
 	misses *obs.Counter
 	evicts *obs.Counter
 	size   *obs.Gauge
 	build  *obs.Histogram
+	grams  *obs.Gauge
 }
 
 type profilePart struct {
@@ -71,6 +73,8 @@ func (c *profileCache) instrument(reg *obs.Registry) {
 	c.evicts = reg.Counter("schemr_profile_cache_evictions_total", "Match profiles evicted via the change feed or reset.", nil)
 	c.size = reg.Gauge("schemr_profile_cache_size", "Match profiles currently cached.", nil)
 	c.build = reg.Histogram("schemr_profile_build_seconds", "Latency of building one match profile (cache-miss cost).", nil, nil)
+	c.grams = reg.Gauge("schemr_profile_gram_dictionary_size", "Distinct name n-grams interned by match profiles since process start.", nil)
+	c.grams.Set(int64(match.GramDictSize()))
 }
 
 // get returns the profile for (id, s), building and caching one when the
@@ -89,6 +93,7 @@ func (c *profileCache) get(id string, s *model.Schema) *match.Profile {
 		start := time.Now()
 		p = match.NewProfile(s)
 		c.build.ObserveDuration(time.Since(start))
+		c.grams.Set(int64(match.GramDictSize()))
 	} else {
 		p = match.NewProfile(s)
 	}
@@ -119,6 +124,9 @@ func (c *profileCache) put(id string, p *match.Profile) {
 	pt.m[id] = p
 	pt.mu.Unlock()
 	c.size.Set(c.total.Load())
+	if c.grams != nil {
+		c.grams.Set(int64(match.GramDictSize()))
+	}
 }
 
 // drop evicts the given IDs (missing IDs are ignored).

@@ -1,6 +1,8 @@
 package match
 
 import (
+	"sync"
+
 	"schemr/internal/model"
 	"schemr/internal/query"
 	"schemr/internal/text"
@@ -93,38 +95,26 @@ func contextSetsWith(g *model.EntityGraph, s *model.Schema) map[model.ElementRef
 	return out
 }
 
-// simCache memoizes name-pair similarities on normalized forms; context
-// terms repeat heavily across elements of one schema. Read-only gram sources
-// (precomputed query and schema profiles) are consulted before the cache's
-// own map, so the profiled path never recomputes a profiled term's grams.
+// simCache memoizes name-pair similarities on normalized forms for the
+// unprofiled path; context terms repeat heavily across elements of one
+// schema.
 type simCache struct {
 	nm    *NameMatcher
 	grams map[string]map[string]int
 	sims  map[[2]string]float64
-	ro    []map[string]map[string]int
 }
 
-func newSimCache(nm *NameMatcher, readonly ...map[string]map[string]int) *simCache {
+func newSimCache(nm *NameMatcher) *simCache {
 	return &simCache{
 		nm:    nm,
 		grams: make(map[string]map[string]int),
 		sims:  make(map[[2]string]float64),
-		ro:    readonly,
 	}
-}
-
-func (c *simCache) gramsOf(term string) map[string]int {
-	return c.gramsOfNormalized(text.Normalize(term))
 }
 
 // gramsOfNormalized is the cache lookup for a term that is already
-// normalized — each term is normalized exactly once, in sim or gramsOf.
+// normalized — each term is normalized exactly once.
 func (c *simCache) gramsOfNormalized(n string) map[string]int {
-	for _, src := range c.ro {
-		if g, ok := src[n]; ok {
-			return g
-		}
-	}
 	if g, ok := c.grams[n]; ok {
 		return g
 	}
@@ -165,12 +155,74 @@ func (cm *ContextMatcher) softJaccard(cache *simCache, a, b []string) float64 {
 	for i, t := range b {
 		nb[i] = text.Normalize(t)
 	}
-	return cm.softJaccardNormalized(cache, na, nb)
+	total := 0.0
+	for _, ta := range na {
+		best := 0.0
+		for _, tb := range nb {
+			if v := cache.simNormalized(ta, tb); v > best {
+				best = v
+			}
+		}
+		if best >= cm.minTermSim {
+			total += best
+		}
+	}
+	for _, tb := range nb {
+		best := 0.0
+		for _, ta := range na {
+			if v := cache.simNormalized(ta, tb); v > best {
+				best = v
+			}
+		}
+		if best >= cm.minTermSim {
+			total += best
+		}
+	}
+	return total / float64(len(na)+len(nb))
 }
 
-// softJaccardNormalized is softJaccard over pre-normalized term sets — the
-// profiled path holds both sides normalized already.
-func (cm *ContextMatcher) softJaccardNormalized(cache *simCache, a, b []string) float64 {
+// termSims memoizes, for one (query, candidate) pair, the similarity of
+// every query term × schema term pair in a dense table indexed by the two
+// sides' term indexes; a negative cell is not computed yet. It replaces
+// the string-keyed sim cache on the profiled path.
+type termSims struct {
+	q, s []gramVec
+	tbl  []float64
+}
+
+// simTables recycles termSims tables across candidates.
+var simTables sync.Pool
+
+func newTermSims(q, s []gramVec) *termSims {
+	n := len(q) * len(s)
+	ts, _ := simTables.Get().(*termSims)
+	if ts == nil || cap(ts.tbl) < n {
+		ts = &termSims{tbl: make([]float64, n)}
+	}
+	ts.q, ts.s, ts.tbl = q, s, ts.tbl[:n]
+	for i := range ts.tbl {
+		ts.tbl[i] = -1
+	}
+	return ts
+}
+
+func (ts *termSims) release() {
+	ts.q, ts.s = nil, nil
+	simTables.Put(ts)
+}
+
+func (ts *termSims) sim(qt, st int32) float64 {
+	c := &ts.tbl[int(qt)*len(ts.s)+int(st)]
+	if *c < 0 {
+		*c = gramSimVec(&ts.q[qt], &ts.s[st])
+	}
+	return *c
+}
+
+// softJaccardTerms is softJaccard over term indexes, a on the
+// query side and b on the schema side; the arithmetic and its order are
+// the same, so the score is bit-identical.
+func (cm *ContextMatcher) softJaccardTerms(ts *termSims, a, b []int32) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
@@ -178,7 +230,7 @@ func (cm *ContextMatcher) softJaccardNormalized(cache *simCache, a, b []string) 
 	for _, ta := range a {
 		best := 0.0
 		for _, tb := range b {
-			if v := cache.simNormalized(ta, tb); v > best {
+			if v := ts.sim(ta, tb); v > best {
 				best = v
 			}
 		}
@@ -189,7 +241,7 @@ func (cm *ContextMatcher) softJaccardNormalized(cache *simCache, a, b []string) 
 	for _, tb := range b {
 		best := 0.0
 		for _, ta := range a {
-			if v := cache.simNormalized(ta, tb); v > best {
+			if v := ts.sim(ta, tb); v > best {
 				best = v
 			}
 		}
@@ -232,27 +284,28 @@ func (cm *ContextMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 	return m
 }
 
-// MatchProfiled implements ProfiledMatcher: neighbor-term sets and their
-// gram multisets come pre-normalized from the query artifacts and the schema
-// profile; only the cross-side pair similarities are computed here (memoized
-// per candidate in the sim cache).
+// MatchProfiled implements ProfiledMatcher: neighbor-term sets come as
+// term indexes and their grams as interned vectors from the query
+// artifacts and the schema profile; only the cross-side term-pair
+// similarities are computed here, memoized per candidate in a dense table.
 func (cm *ContextMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	if cm.nm.maxGram != qa.maxGram || cm.nm.maxGram != p.maxGram {
 		return cm.Match(qa.query, p.schema)
 	}
 	m := NewMatrix(qa.elems, p.elems)
-	cache := newSimCache(cm.nm, qa.gramsByNorm, p.gramsByNorm)
+	ts := newTermSims(qa.vectorsFor(p), p.vecs)
+	defer ts.release()
 	for qi, qel := range qa.elems {
 		if qel.IsKeyword() {
 			continue // row stays NotApplicable
 		}
-		qctx := qa.fragCtxNorm[qel.Fragment][qel.Ref]
+		qctx := qa.terms.context(qi)
 		for si, sel := range p.elems {
 			if qel.Kind != sel.Kind {
 				m.Set(qi, si, 0)
 				continue
 			}
-			m.Set(qi, si, cm.softJaccardNormalized(cache, qctx, p.ctxNorm[sel.Ref]))
+			m.Set(qi, si, cm.softJaccardTerms(ts, qctx, p.terms.context(si)))
 		}
 	}
 	return m

@@ -53,8 +53,9 @@ func (em *ExactMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 func (em *ExactMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	m := NewMatrix(qa.elems, p.elems)
 	for i := range qa.elems {
+		qn := qa.terms.nameOf(i)
 		for j := range p.elems {
-			if qa.norm[i] != "" && qa.norm[i] == p.norm[j] {
+			if qn != "" && qn == p.terms.nameOf(j) {
 				m.Set(i, j, 1)
 			} else {
 				m.Set(i, j, 0)

@@ -250,8 +250,23 @@ func (nm *NameMatcher) gramsNormalized(n string) map[string]int {
 // being drowned by the expansion's extra grams. Taking the max keeps both
 // regimes in [0,1] with identical names still scoring exactly 1.
 func (nm *NameMatcher) gramSim(a, b map[string]int) float64 {
-	dice := text.DiceOverlap(a, b)
-	if overlap := 0.8 * text.OverlapCoefficient(a, b); overlap > dice {
+	return blendOverlap(text.MultisetOverlap(a, b))
+}
+
+// gramSimVec is gramSim over interned gram vectors: one merge pass yields
+// the same three integers as the map walk, so the score is bit-identical.
+func gramSimVec(a, b *gramVec) float64 {
+	return blendOverlap(interOf(a.grams, b.grams), a.mass, b.mass)
+}
+
+// blendOverlap is gramSim's arithmetic on the multiset intersection and
+// the two multiset sizes; an empty side scores 0.
+func blendOverlap(inter, sizeA, sizeB int) float64 {
+	if sizeA == 0 || sizeB == 0 {
+		return 0
+	}
+	dice := 2 * float64(inter) / float64(sizeA+sizeB)
+	if overlap := 0.8 * (float64(inter) / float64(min(sizeA, sizeB))); overlap > dice {
 		return overlap
 	}
 	return dice
@@ -282,16 +297,19 @@ func (nm *NameMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 	return m
 }
 
-// MatchProfiled implements ProfiledMatcher: both sides' n-gram multisets are
-// read from the precomputed artifacts instead of being rebuilt per call.
+// MatchProfiled implements ProfiledMatcher: both sides' interned gram
+// vectors are read from the precomputed artifacts, and each cell is one
+// merge pass over two sorted id lists instead of a walk over two maps.
 func (nm *NameMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	if nm.maxGram != qa.maxGram || nm.maxGram != p.maxGram {
 		return nm.Match(qa.query, p.schema)
 	}
+	qv := qa.vectorsFor(p)
 	m := NewMatrix(qa.elems, p.elems)
 	for i := range qa.elems {
+		a := &qv[qa.terms.name[i]]
 		for j := range p.elems {
-			m.Set(i, j, nm.gramSim(qa.grams[i], p.grams[j]))
+			m.Set(i, j, gramSimVec(a, &p.vecs[p.terms.name[j]]))
 		}
 	}
 	return m

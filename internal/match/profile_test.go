@@ -152,8 +152,9 @@ func TestProfileGraphArtifacts(t *testing.T) {
 	}
 }
 
-// TestSimCacheSingleNormalization pins the satellite fix: gramsOf and sim
-// must agree with the name matcher on raw and pre-normalized inputs.
+// TestSimCacheSingleNormalization pins the satellite fix: the unprofiled
+// sim cache must agree with the name matcher on raw and pre-normalized
+// inputs.
 func TestSimCacheSingleNormalization(t *testing.T) {
 	nm := NewNameMatcher()
 	c := newSimCache(nm)

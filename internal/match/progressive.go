@@ -2,7 +2,8 @@ package match
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"schemr/internal/model"
 	"schemr/internal/query"
@@ -136,54 +137,76 @@ type Progressive struct {
 	wsum []float64 // flat per-cell weight sums (evaluated, applicable)
 	num  []float64 // flat per-cell numerator mass of unevaluated matchers (sum w·b)
 	den  []float64 // flat per-cell denominator mass of unevaluated matchers (sum w)
+
+	buf []float64 // backing of sum, wsum, num, den and bounds, kept across reuse
 }
 
-// progressive builds the shared state for both entry points.
+// progressives recycles released evaluations, scratch arrays included.
+var progressives sync.Pool
+
+// progressive builds the shared state for both entry points, reusing a
+// released evaluation's scratch arrays when the pool has one.
 func (e *Ensemble) progressive(qe []query.Element, se []model.Element) *Progressive {
-	cells := len(qe) * len(se)
-	pm := &Progressive{
-		ens:     e,
-		qe:      qe,
-		se:      se,
-		weights: make([]float64, len(e.matchers)),
-		order:   make([]int, len(e.matchers)),
-		mats:    make([]*Matrix, len(e.matchers)),
-		bounds:  make([][]float64, len(e.matchers)),
-		sum:     make([]float64, cells),
-		wsum:    make([]float64, cells),
-		num:     make([]float64, cells),
-		den:     make([]float64, cells),
+	pm, _ := progressives.Get().(*Progressive)
+	if pm == nil {
+		pm = &Progressive{}
+	}
+	nm, cells := len(e.matchers), len(qe)*len(se)
+	pm.ens, pm.qe, pm.se = e, qe, se
+	pm.weights = resize(pm.weights, nm)
+	pm.order = resize(pm.order, nm)
+	pm.bounds = resize(pm.bounds, nm)
+	pm.mats = make([]*Matrix, nm) // callers keep it past Release
+	pm.buf = resize(pm.buf, (4+nm)*cells)
+	clear(pm.buf)
+	flat := pm.buf
+	take := func() []float64 {
+		s := flat[:cells:cells]
+		flat = flat[cells:]
+		return s
+	}
+	pm.sum, pm.wsum, pm.num, pm.den = take(), take(), take(), take()
+	for i := range pm.bounds {
+		pm.bounds[i] = take()
 	}
 	for i, m := range e.matchers {
 		pm.weights[i] = e.weights[m.Name()]
 		pm.order[i] = i
 	}
-	sort.SliceStable(pm.order, func(a, b int) bool {
-		return matcherCost(e.matchers[pm.order[a]]) < matcherCost(e.matchers[pm.order[b]])
+	slices.SortStableFunc(pm.order, func(a, b int) int {
+		return matcherCost(e.matchers[a]) - matcherCost(e.matchers[b])
 	})
 	return pm
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// too small.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // initBounds collects every matcher's declared score bounds into the
 // num/den mass arrays; called after the constructor has attached the
 // (un)profiled inputs so profiled bound paths can reach the artifacts.
 func (pm *Progressive) initBounds() {
-	cells := len(pm.qe) * len(pm.se)
 	for i, m := range pm.ens.matchers {
 		w := pm.weights[i]
+		bs := pm.bounds[i] // scratch from the pooled buffer; kept only if filled
+		pm.bounds[i] = nil
 		if w == 0 {
 			continue // contributes nothing to any cell
 		}
-		var bs []float64
 		if pbm, ok := m.(ProfiledBoundedMatcher); ok && pm.qa != nil {
-			bs = make([]float64, cells)
 			pbm.ScoreBoundsProfiled(pm.qa, pm.p, bs)
-		} else if bm, ok := m.(BoundedMatcher); ok {
-			bs = make([]float64, cells)
-			bm.ScoreBounds(pm.qe, pm.se, bs)
-		}
-		if bs != nil {
 			pm.bounds[i] = bs
+		} else if bm, ok := m.(BoundedMatcher); ok {
+			bm.ScoreBounds(pm.qe, pm.se, bs)
+			pm.bounds[i] = bs
+		}
+		if bs := pm.bounds[i]; bs != nil {
 			for c, b := range bs {
 				if b != NotApplicable {
 					pm.num[c] += w * b
@@ -331,6 +354,17 @@ func (pm *Progressive) Matrices() []*Matrix {
 		panic(fmt.Sprintf("match: Progressive.Matrices with %d matchers unevaluated", pm.Remaining()))
 	}
 	return pm.mats
+}
+
+// Release returns the evaluation and its per-cell scratch arrays to a
+// pool for the next candidate. The Progressive must not be used
+// afterwards; the matrices Combine and Matrices returned stay valid.
+// Calling it is optional — an unreleased Progressive is simply garbage
+// collected.
+func (pm *Progressive) Release() {
+	buf, weights, order, bounds := pm.buf, pm.weights, pm.order, pm.bounds
+	*pm = Progressive{buf: buf, weights: weights, order: order, bounds: bounds}
+	progressives.Put(pm)
 }
 
 // Elements returns the query/schema element slices of the evaluation —

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -217,4 +218,52 @@ func TestNameBoundSound(t *testing.T) {
 		}
 	}
 	t.Logf("checked %d pairs", checked)
+}
+
+// TestProgressiveReleaseReuse: evaluations drawn from the pool after
+// Release — across ensembles with different matcher counts and candidates
+// of different shapes — start from clean state, and matrices obtained
+// before Release survive the reuse.
+func TestProgressiveReleaseReuse(t *testing.T) {
+	q, err := query.Parse(query.Input{
+		Keywords: "customer order price",
+		DDL:      "CREATE TABLE orders (price DECIMAL, quantity INT);",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qa := NewQueryArtifacts(q)
+	ensembles := []*Ensemble{fullEnsemble(t), DefaultEnsemble()}
+	var kept []*Matrix
+	var wants []*Matrix
+	for i, s := range webtables.GenerateRelational(31, 12) {
+		e := ensembles[i%len(ensembles)]
+		want := e.MatchProfiled(qa, NewProfile(s))
+		pm := e.NewProgressiveProfiled(qa, NewProfile(s))
+		for pm.Remaining() > 0 {
+			pm.Step()
+		}
+		colUB, rowUB := make([]float64, pm.Cols()), make([]float64, pm.Rows())
+		pm.Bounds(colUB, rowUB)
+		got := pm.Combine()
+		pm.Release()
+		if !reflect.DeepEqual(got.Scores, want.Scores) {
+			t.Fatalf("schema %d: reused progressive != MatchProfiled", i)
+		}
+		for si := range colUB {
+			best := 0.0
+			for qi := range want.Query {
+				best = max(best, want.Scores[qi][si])
+			}
+			if math.Abs(colUB[si]-best) > 1e-9 {
+				t.Fatalf("schema %d column %d: final bound %v != best score %v", i, si, colUB[si], best)
+			}
+		}
+		kept, wants = append(kept, got), append(wants, want)
+	}
+	for i := range kept {
+		if !reflect.DeepEqual(kept[i].Scores, wants[i].Scores) {
+			t.Fatalf("schema %d: combined matrix changed after later evaluations reused the pool", i)
+		}
+	}
 }

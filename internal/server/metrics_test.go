@@ -89,6 +89,7 @@ func TestMetricsScrape(t *testing.T) {
 		"schemr_profile_cache_misses_total":   "counter",
 		"schemr_profile_cache_size":           "gauge",
 		"schemr_profile_build_seconds":        "histogram",
+		"schemr_profile_gram_dictionary_size": "gauge",
 		"schemr_index_searches_total":         "counter",
 		"schemr_index_terms_scored_total":     "counter",
 		"schemr_index_postings_touched_total": "counter",
@@ -121,6 +122,9 @@ func TestMetricsScrape(t *testing.T) {
 	}
 	if got := first.samples[`schemr_profile_cache_hits_total`]; got <= 0 {
 		t.Errorf("profile cache hits = %v, want > 0", got)
+	}
+	if got := first.samples[`schemr_profile_gram_dictionary_size`]; got <= 0 {
+		t.Errorf("gram dictionary size = %v after building profiles, want > 0", got)
 	}
 
 	// Histogram internal consistency: buckets are cumulative and the +Inf

@@ -176,14 +176,15 @@ func NGramSet(s string, min, max int) map[string]int {
 	return set
 }
 
-// DiceOverlap computes the Dice coefficient between two n-gram frequency
-// maps: 2·|A∩B| / (|A|+|B|) counting multiplicities. It is symmetric and
-// always in [0,1]; two empty sets score 0.
-func DiceOverlap(a, b map[string]int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sizeA, sizeB, inter := 0, 0, 0
+// MultisetOverlap walks two n-gram frequency maps once and returns the
+// size of their multiset intersection together with both multiset sizes,
+// counting multiplicities. Every overlap measure the matchers blend is
+// derived from these three integers: the Dice coefficient
+// 2·inter/(sizeA+sizeB), which rewards variants of similar length, and the
+// overlap coefficient inter/min(sizeA, sizeB), which does not punish length
+// mismatch and so suits abbreviation ↔ expansion pairs ("qty" is almost
+// contained in "quantity"). Empty or nil maps have size 0.
+func MultisetOverlap(a, b map[string]int) (inter, sizeA, sizeB int) {
 	for _, c := range a {
 		sizeA += c
 	}
@@ -197,43 +198,7 @@ func DiceOverlap(a, b map[string]int) float64 {
 			}
 		}
 	}
-	if sizeA+sizeB == 0 {
-		return 0
-	}
-	return 2 * float64(inter) / float64(sizeA+sizeB)
-}
-
-// OverlapCoefficient computes |A∩B| / min(|A|,|B|) over two n-gram
-// frequency maps, counting multiplicities. Unlike Dice it does not punish
-// length mismatch, which makes it the right measure for abbreviation ↔
-// expansion pairs ("qty" is almost contained in "quantity"). Symmetric,
-// in [0,1]; empty inputs score 0.
-func OverlapCoefficient(a, b map[string]int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sizeA, sizeB, inter := 0, 0, 0
-	for _, c := range a {
-		sizeA += c
-	}
-	for g, cb := range b {
-		sizeB += cb
-		if ca, ok := a[g]; ok {
-			if ca < cb {
-				inter += ca
-			} else {
-				inter += cb
-			}
-		}
-	}
-	min := sizeA
-	if sizeB < min {
-		min = sizeB
-	}
-	if min == 0 {
-		return 0
-	}
-	return float64(inter) / float64(min)
+	return inter, sizeA, sizeB
 }
 
 // JaccardTokens computes the Jaccard similarity |A∩B|/|A∪B| between two

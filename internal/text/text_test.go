@@ -125,22 +125,46 @@ func TestNGramSet(t *testing.T) {
 	}
 }
 
+// dice derives the Dice coefficient 2·|A∩B|/(|A|+|B|) from MultisetOverlap,
+// scoring 0 when either side is empty — the measure the name matcher blends.
+func dice(a, b map[string]int) float64 {
+	inter, sizeA, sizeB := MultisetOverlap(a, b)
+	if sizeA == 0 || sizeB == 0 {
+		return 0
+	}
+	return 2 * float64(inter) / float64(sizeA+sizeB)
+}
+
+func TestMultisetOverlap(t *testing.T) {
+	a := NGramSet("aab", 1, 3) // a:2 b:1 aa:1 ab:1 aab:1
+	b := NGramSet("ab", 1, 2)  // a:1 b:1 ab:1
+	if inter, sa, sb := MultisetOverlap(a, b); inter != 3 || sa != 6 || sb != 3 {
+		t.Errorf("MultisetOverlap(aab, ab) = (%d, %d, %d), want (3, 6, 3)", inter, sa, sb)
+	}
+	if inter, sa, sb := MultisetOverlap(b, a); inter != 3 || sa != 3 || sb != 6 {
+		t.Errorf("MultisetOverlap(ab, aab) = (%d, %d, %d), want (3, 3, 6)", inter, sa, sb)
+	}
+	if inter, sa, sb := MultisetOverlap(nil, a); inter != 0 || sa != 0 || sb != 6 {
+		t.Errorf("MultisetOverlap(nil, aab) = (%d, %d, %d), want (0, 0, 6)", inter, sa, sb)
+	}
+}
+
 func TestDiceOverlap(t *testing.T) {
 	a := NGramSet("patient", 1, 7)
-	if got := DiceOverlap(a, a); got != 1 {
+	if got := dice(a, a); got != 1 {
 		t.Errorf("Dice(self) = %v, want 1", got)
 	}
 	b := NGramSet("zzzzqqqq", 1, 8)
-	if got := DiceOverlap(a, b); got != 0 {
+	if got := dice(a, b); got != 0 {
 		t.Errorf("Dice(disjoint) = %v, want 0", got)
 	}
-	if got := DiceOverlap(nil, a); got != 0 {
+	if got := dice(nil, a); got != 0 {
 		t.Errorf("Dice(nil,x) = %v, want 0", got)
 	}
 	// Abbreviation shares grams with its expansion.
 	abbr := NGramSet("pt", 1, 2)
 	full := NGramSet("patient", 1, 7)
-	if got := DiceOverlap(abbr, full); got <= 0 {
+	if got := dice(abbr, full); got <= 0 {
 		t.Errorf("Dice(pt, patient) = %v, want > 0", got)
 	}
 }
@@ -149,8 +173,8 @@ func TestDiceOverlapProperties(t *testing.T) {
 	f := func(x, y string) bool {
 		a := NGramSet(x, 1, len([]rune(x)))
 		b := NGramSet(y, 1, len([]rune(y)))
-		d1 := DiceOverlap(a, b)
-		d2 := DiceOverlap(b, a)
+		d1 := dice(a, b)
+		d2 := dice(b, a)
 		if d1 != d2 {
 			return false // symmetry
 		}
@@ -165,7 +189,7 @@ func TestDiceOverlapProperties(t *testing.T) {
 			return true
 		}
 		a := NGramSet(x, 1, len([]rune(x)))
-		return DiceOverlap(a, a) == 1
+		return dice(a, a) == 1
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
