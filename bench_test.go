@@ -190,8 +190,11 @@ func BenchmarkFig3SearchNoObs(b *testing.B) {
 }
 
 // BenchmarkFig3SearchUnprofiled is BenchmarkFig3Search with the match-profile
-// cache disabled — the per-candidate recompute path. Comparing the two pairs
-// (per corpus size) gives the speedup recorded in BENCH_search_profile.json.
+// cache disabled: every candidate of every search builds a fresh profile and
+// drops it. Comparing the two pairs (per corpus size) gives the cost of the
+// per-candidate profile build. The speedups recorded in
+// BENCH_search_profile.json were measured when this configuration still ran
+// the map-based matchers.
 func BenchmarkFig3SearchUnprofiled(b *testing.B) {
 	for _, n := range []int{1000, 5000, 20000} {
 		engine := core.NewEngine(benchRepo(b, n), core.Options{DisableProfileCache: true})
@@ -210,8 +213,8 @@ func BenchmarkFig3SearchUnprofiled(b *testing.B) {
 	}
 }
 
-// BenchmarkCascade compares the phase-2/3 cascade against exhaustive
-// matching on the acceptance configuration (CandidateN 50, limit 10, the
+// BenchmarkCascade compares the phase-2/3 cascade with its bound checks on
+// and off (every candidate completes) on the acceptance configuration (CandidateN 50, limit 10, the
 // paper query) — the pair behind BENCH_search_profile.json's cascade rows.
 // Run under -race in CI as a concurrency smoke for the shared-floor
 // protocol.

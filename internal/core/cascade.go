@@ -98,15 +98,28 @@ func (e *Engine) matchThreshold() float64 {
 	return tightness.DefaultMatchThreshold
 }
 
-// popularity returns the exact popularity multiplier of one schema —
-// computed up front on the cascade path because it scales the bound just
-// like it scales the final score.
+// popularity returns the popularity multiplier of one schema. The search
+// reads it once per candidate, so a selection recorded mid-search can not
+// give one candidate's bound, final score and shadow score different
+// multipliers.
 func (e *Engine) popularity(id string) float64 {
 	if e.opts.PopularityBoost <= 0 {
 		return 1
 	}
 	sel := float64(e.repo.Usage(id).Selections)
 	return 1 + e.opts.PopularityBoost*sel/(sel+5)
+}
+
+// finalScore is the ranking score: tightness × coverage^exp × popularity.
+// The cascade's exact-matrix bound, the served score, the shadow score and
+// Explain all compute it here, so they share one floating-point operation
+// order.
+func (e *Engine) finalScore(tight, cov, pop float64) float64 {
+	final := tight
+	if e.opts.CoverageExponent > 0 {
+		final = tight * math.Pow(cov, e.opts.CoverageExponent)
+	}
+	return final * pop
 }
 
 // cascadeBound turns per-column and per-row cell upper bounds into an
@@ -146,21 +159,28 @@ func cascadeBound(colUB, rowUB []float64, thr, covExp, pop float64) float64 {
 	return ub * pop
 }
 
-// cascadeRank runs phases 2 and 3 fused under the score-bounded cascade:
-// candidates are dispatched in descending phase-1 order, every worker
-// evaluates matchers cheapest-first, and a candidate whose admissible
-// upper bound falls below the shared top-limit floor is abandoned —
-// its remaining matchers and its tightness pass skipped entirely. The
-// surviving results are byte-identical to the exhaustive path's top
-// limit: completed scores use the same arithmetic (Progressive.Combine
-// merges in ensemble order), and abandonment requires strict inferiority
-// beyond cascadeSlack, so ties always complete.
+// cascadeRank runs phases 2 and 3 fused under the score-bounded cascade —
+// the engine's only phase 2–3 path: candidates are dispatched in
+// descending phase-1 order, every worker evaluates matchers cheapest-first
+// on the candidate's match profile, and a candidate whose admissible upper
+// bound falls below the shared top-limit floor is abandoned — its
+// remaining matchers and its tightness pass skipped entirely. The
+// surviving results are byte-identical to scoring every candidate with
+// Ensemble.Match and tightness.Score: completed scores use the same
+// arithmetic (Progressive.Combine merges in ensemble order), and
+// abandonment requires strict inferiority beyond cascadeSlack, so ties
+// always complete.
+//
+// With Options.DisableCascade the bound checks are skipped: every
+// candidate completes, so TotalRanked is exact and no matcher is skipped.
+// Candidates without a matched element are dropped either way (their
+// final score is 0); only the cascade counts them as abandoned.
 //
 // Timing attribution: the fused phase's wall clock is split into
 // PhaseMatch and PhaseTightness by summing the in-worker tightness
 // scoring time (clamped to the wall clock), so Total() still equals the
-// end-to-end latency and the phase split stays comparable with the
-// exhaustive path.
+// end-to-end latency.
+//
 // When shadowEns is non-nil, each completed candidate's per-matcher
 // matrices (plus tightness inputs) are retained and returned keyed by
 // schema ID, so the caller's shadow pass can rescore the served results
@@ -169,10 +189,8 @@ func cascadeBound(colUB, rowUB []float64, thr, covExp, pop float64) float64 {
 // results are shadow-scored.
 func (e *Engine) cascadeRank(ctx context.Context, q *query.Query, ensemble, shadowEns *match.Ensemble, hits []index.Hit, limit int, stats *SearchStats) ([]Result, map[string]*shadowInput) {
 	start := time.Now()
-	var qa *match.QueryArtifacts
-	if !e.opts.DisableProfileCache {
-		qa = match.NewQueryArtifacts(q)
-	}
+	qa := match.NewQueryArtifacts(q)
+	bounded := !e.opts.DisableCascade
 	thr := e.matchThreshold()
 	top := newTopK(limit)
 	out := make([]Result, len(hits))
@@ -186,8 +204,8 @@ func (e *Engine) cascadeRank(ctx context.Context, q *query.Query, ensemble, shad
 	sem := make(chan struct{}, e.opts.Parallelism)
 dispatch:
 	for i, h := range hits {
-		// Cancellation gate, as on the exhaustive path: stop dispatching
-		// promptly; in-flight candidates drain.
+		// Cancellation gate: stop dispatching promptly; in-flight
+		// candidates drain.
 		if ctx.Err() != nil {
 			break
 		}
@@ -205,33 +223,27 @@ dispatch:
 			defer wg.Done()
 			defer func() { <-sem }()
 			pop := e.popularity(s.ID)
-			var prog *match.Progressive
-			var profile *match.Profile
-			if qa != nil {
-				profile = e.profiles.get(s.ID, s)
-				prog = ensemble.NewProgressiveProfiled(qa, profile)
-			} else {
-				prog = ensemble.NewProgressive(q, s)
-			}
+			profile := e.profiles.get(s.ID, s)
+			prog := ensemble.NewProgressive(qa, profile)
 			defer prog.Release()
 			colUB := make([]float64, prog.Cols())
 			rowUB := make([]float64, prog.Rows())
-			// Bounds are checked BEFORE every Step, including the first:
-			// the matchers' declared score bounds alone (ScoreBounds) often
-			// disqualify a weak candidate before even the cheapest expensive
-			// matcher — the name matcher's n-gram walk — has run.
-			for {
-				prog.Bounds(colUB, rowUB)
-				ub := cascadeBound(colUB, rowUB, thr, e.opts.CoverageExponent, pop)
-				if ub == 0 || ub < top.Floor()-cascadeSlack {
-					matchersSkipped.Add(int64(prog.Remaining()))
-					abandoned.Add(1)
-					return
+			for prog.Remaining() > 0 {
+				// Bounds are checked BEFORE every Step, including the
+				// first: the matchers' declared score bounds alone
+				// (ScoreBounds) often disqualify a weak candidate before
+				// even the cheapest expensive matcher — the name matcher's
+				// n-gram walk — has run.
+				if bounded {
+					prog.Bounds(colUB, rowUB)
+					ub := cascadeBound(colUB, rowUB, thr, e.opts.CoverageExponent, pop)
+					if ub == 0 || ub < top.Floor()-cascadeSlack {
+						matchersSkipped.Add(int64(prog.Remaining()))
+						abandoned.Add(1)
+						return
+					}
 				}
 				prog.Step()
-				if prog.Remaining() == 0 {
-					break
-				}
 			}
 			m := prog.Combine()
 			elements.Add(int64(len(m.Schema)))
@@ -249,37 +261,22 @@ dispatch:
 			}
 			if matched == 0 {
 				// No matched element means tightness 0 and a final score
-				// of 0: the exhaustive path drops this candidate too.
-				abandoned.Add(1)
+				// of 0: the candidate never ranks.
+				if bounded {
+					abandoned.Add(1)
+				}
 				return
 			}
 			cov := e.coverage(m)
-			ubPre := sumS / float64(matched)
-			if e.opts.CoverageExponent > 0 {
-				ubPre *= math.Pow(cov, e.opts.CoverageExponent)
-			}
-			ubPre *= pop
-			if ubPre < top.Floor()-cascadeSlack {
+			if bounded && e.finalScore(sumS/float64(matched), cov, pop) < top.Floor()-cascadeSlack {
 				abandoned.Add(1)
 				return // tightness pass skipped
 			}
 
 			tstart := time.Now()
-			var t tightness.Result
-			if profile != nil {
-				t = tightness.ScoreProfiled(profile, m, e.opts.Tightness)
-			} else {
-				t = tightness.Score(s, m, e.opts.Tightness)
-			}
+			t := tightness.ScoreProfiled(profile, m, e.opts.Tightness)
 			tightNanos.Add(int64(time.Since(tstart)))
-			final := t.Score
-			if e.opts.CoverageExponent > 0 {
-				final = t.Score * math.Pow(cov, e.opts.CoverageExponent)
-			}
-			if e.opts.PopularityBoost > 0 {
-				sel := float64(e.repo.Usage(s.ID).Selections)
-				final *= 1 + e.opts.PopularityBoost*sel/(sel+5)
-			}
+			final := e.finalScore(t.Score, cov, pop)
 			if final <= 0 {
 				return
 			}
@@ -304,7 +301,7 @@ dispatch:
 					qe:      qe,
 					se:      se,
 					profile: profile,
-					schema:  s,
+					pop:     pop,
 				}
 			}
 			top.Offer(final)

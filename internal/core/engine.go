@@ -21,7 +21,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"schemr/internal/fsutil"
@@ -66,24 +65,24 @@ type Options struct {
 	// click-through count. 0 disables (the default); the boost saturates
 	// so popularity refines but never overturns a strong semantic gap.
 	PopularityBoost float64
-	// DisableProfileCache turns off the per-schema match-profile cache and
-	// the profiled matching path, recomputing every schema-side artifact
-	// (normalized names, n-gram multisets, context sets, entity graph, BFS
-	// distances) per candidate per search — the pre-cache behavior. Escape
-	// hatch and benchmarking aid; off (cache enabled) by default.
+	// DisableProfileCache stops the engine from keeping match profiles:
+	// every candidate of every search builds a fresh profile (normalized
+	// names, interned n-gram vectors, context terms, entity graph, BFS
+	// distances) and drops it after scoring. Results are identical either
+	// way; only the work differs. Benchmarking aid; off (cache enabled) by
+	// default.
 	DisableProfileCache bool
 	// EagerProfiles builds match profiles during Reindex and Sync instead
 	// of lazily on a schema's first appearance as a search candidate,
 	// trading indexing latency for cold-search latency. Ignored when
 	// DisableProfileCache is set.
 	EagerProfiles bool
-	// DisableCascade turns off the exact score-bounded cascade across
-	// phases 2–3 and reverts to matching every candidate with the full
-	// ensemble plus a tightness pass (the pre-cascade behavior, with
-	// phases 2 and 3 timed separately). The top-limit results are
-	// byte-identical either way; only the work differs — see DESIGN.md
-	// "Cascade ranking". Escape hatch and benchmarking aid; off (cascade
-	// enabled) by default.
+	// DisableCascade turns off the cascade's bound checks across phases
+	// 2–3: every candidate runs the full ensemble plus a tightness pass,
+	// so SearchStats.TotalRanked is exact and no matcher is skipped. The
+	// top-limit results are byte-identical either way; only the work
+	// differs — see DESIGN.md "Cascade ranking". Escape hatch and
+	// benchmarking aid; off (cascade enabled) by default.
 	DisableCascade bool
 	// Metrics is the observability registry the engine registers its
 	// instruments on (search-phase histograms, candidate/element counters,
@@ -177,8 +176,8 @@ type SearchStats struct {
 	// it is a lower bound once candidates start being abandoned (an
 	// abandoned candidate is provably outside the top limit, but whether
 	// it would have ranked at all is never computed); TotalRanked +
-	// CandidatesAbandoned bounds the exhaustive total from above, and
-	// Options.DisableCascade restores the exact count.
+	// CandidatesAbandoned bounds the exact total from above, and
+	// Options.DisableCascade makes the count exact.
 	TotalRanked int
 	// PostingsSkipped and CandidatesPruned report phase-1 MaxScore pruning
 	// effectiveness: postings jumped over without scoring and candidate
@@ -210,11 +209,10 @@ type SearchStats struct {
 	ShadowScoreDelta float64
 	ShadowDisplaced  int
 	// PhaseExtract/PhaseMatch/PhaseTightness are the Figure 3 phase
-	// latencies. With the cascade enabled, phases 2 and 3 run fused in
-	// the match worker pool; PhaseTightness then reports the summed
-	// in-worker tightness time (clamped to the fused wall clock) and
-	// PhaseMatch the remainder, so Total() still equals the end-to-end
-	// latency.
+	// latencies. Phases 2 and 3 run fused in the match worker pool;
+	// PhaseTightness reports the summed in-worker tightness time (clamped
+	// to the fused wall clock) and PhaseMatch the remainder, so Total()
+	// still equals the end-to-end latency.
 	PhaseExtract   time.Duration
 	PhaseMatch     time.Duration
 	PhaseTightness time.Duration
@@ -276,7 +274,7 @@ func NewEngine(repo *repository.Repository, opts Options) *Engine {
 		repo:     repo,
 		opts:     opts,
 		ensemble: match.DefaultEnsemble(),
-		profiles: newProfileCache(opts.Shards),
+		profiles: newProfileCache(opts.Shards, opts.DisableProfileCache),
 		reg:      opts.Metrics,
 	}
 	if e.reg == nil {
@@ -821,9 +819,9 @@ func (e *Engine) SearchWithStats(q *query.Query, limit int) ([]Result, SearchSta
 
 // SearchWithStatsContext is SearchWithStats honoring a request context. The
 // context is checked between candidates in every phase: candidate
-// extraction stops topping up fallback hits, the match phase stops
-// dispatching candidates to the worker pool (in-flight matches drain), and
-// the tightness phase stops scoring. A cancelled search returns ctx.Err()
+// extraction stops topping up fallback hits, and the fused match and
+// tightness phase stops dispatching candidates to the worker pool
+// (in-flight candidates drain). A cancelled search returns ctx.Err()
 // with the stats accumulated so far.
 func (e *Engine) SearchWithStatsContext(ctx context.Context, q *query.Query, limit int) (_ []Result, stats SearchStats, err error) {
 	who := tenant.From(ctx)
@@ -867,13 +865,14 @@ func (e *Engine) RankWith(ctx context.Context, q *query.Query, limit int, w map[
 // shadowInput is the retained matcher work of one completed candidate —
 // everything the shadow pass needs to rescore it under candidate weights
 // without re-running any matcher: the per-matcher matrices, the element
-// shape, and the tightness inputs.
+// shape, the tightness inputs, and the popularity multiplier the served
+// score used.
 type shadowInput struct {
 	mats    []*match.Matrix
 	qe      []query.Element
 	se      []model.Element
-	profile *match.Profile // nil on the unprofiled path
-	schema  *model.Schema
+	profile *match.Profile
+	pop     float64
 }
 
 // searchWithEnsemble is the shared search body: phases 1–3 scored with the
@@ -958,153 +957,12 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 	// order never changes the results.
 	sort.Slice(hits, func(a, b int) bool { return index.HitBefore(hits[a], hits[b]) })
 
-	if !e.opts.DisableCascade {
-		results, sins := e.cascadeRank(ctx, q, ensemble, shadowEns, hits, limit, &stats)
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		ranked := rankResults(results, limit, &stats)
-		if shadowEns != nil {
-			e.shadowScore(ranked, sins, shadowEns, shadowVersion, &stats)
-		}
-		return ranked, stats, nil
-	}
-
-	// Phase 2: schema matching. Evaluate each candidate with the ensemble.
-	// Query-side artifacts are computed once here and shared (read-only)
-	// across all candidates; schema-side artifacts come from the profile
-	// cache, so steady-state matching recomputes nothing that depends only
-	// on the schema.
-	start = time.Now()
-	type scored struct {
-		hit     index.Hit
-		schema  *model.Schema
-		matrix  *match.Matrix
-		profile *match.Profile
-		mats    []*match.Matrix // per-matcher matrices, retained for the shadow pass
-	}
-	var qa *match.QueryArtifacts
-	if !e.opts.DisableProfileCache {
-		qa = match.NewQueryArtifacts(q)
-	}
-	cands := make([]scored, len(hits))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.opts.Parallelism)
-	var elements atomic.Int64
-dispatch:
-	for i, h := range hits {
-		// Cancellation gate: check before dispatching each candidate so an
-		// abandoned search stops matching promptly instead of burning the
-		// worker pool on all CandidateN candidates.
-		if ctx.Err() != nil {
-			break
-		}
-		s := e.repo.Get(h.ID)
-		if s == nil {
-			continue // deleted between index snapshot and now
-		}
-		cands[i] = scored{hit: h, schema: s}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// With shadow scoring on, the per-matcher matrices are kept and
-			// combined explicitly — CombineMatrices over MatchMatrices is
-			// exactly what Match/MatchProfiled do internally, so the served
-			// scores are byte-identical either way; only retention differs.
-			var m *match.Matrix
-			var mats []*match.Matrix
-			if qa != nil {
-				p := e.profiles.get(cands[i].schema.ID, cands[i].schema)
-				cands[i].profile = p
-				if shadowEns != nil {
-					mats = ensemble.MatchMatricesProfiled(qa, p)
-				} else {
-					m = ensemble.MatchProfiled(qa, p)
-				}
-			} else if shadowEns != nil {
-				mats = ensemble.MatchMatrices(q, cands[i].schema)
-			} else {
-				m = ensemble.Match(q, cands[i].schema)
-			}
-			if mats != nil {
-				m = ensemble.CombineMatrices(mats[0].Query, mats[0].Schema, mats)
-				cands[i].mats = mats
-			}
-			cands[i].matrix = m
-			elements.Add(int64(len(m.Schema)))
-		}(i)
-	}
-	wg.Wait()
-	stats.PhaseMatch = time.Since(start)
-	stats.ElementsScored = int(elements.Load())
+	results, sins := e.cascadeRank(ctx, q, ensemble, shadowEns, hits, limit, &stats)
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-
-	// Phase 3: tightness-of-fit measurement and final ranking.
-	start = time.Now()
-	results := make([]Result, 0, len(cands))
-	for _, c := range cands {
-		if err := ctx.Err(); err != nil {
-			stats.PhaseTightness = time.Since(start)
-			return nil, stats, err
-		}
-		if c.schema == nil || c.matrix == nil {
-			continue
-		}
-		var t tightness.Result
-		if c.profile != nil {
-			t = tightness.ScoreProfiled(c.profile, c.matrix, e.opts.Tightness)
-		} else {
-			t = tightness.Score(c.schema, c.matrix, e.opts.Tightness)
-		}
-		cov := e.coverage(c.matrix)
-		final := t.Score
-		if e.opts.CoverageExponent > 0 {
-			final = t.Score * math.Pow(cov, e.opts.CoverageExponent)
-		}
-		if e.opts.PopularityBoost > 0 {
-			sel := float64(e.repo.Usage(c.schema.ID).Selections)
-			final *= 1 + e.opts.PopularityBoost*sel/(sel+5)
-		}
-		if final <= 0 {
-			continue
-		}
-		results = append(results, Result{
-			ID:          c.schema.ID,
-			Name:        c.schema.Name,
-			Description: c.schema.Description,
-			Score:       final,
-			Tightness:   t.Score,
-			Coverage:    cov,
-			Coarse:      c.hit.Score,
-			Anchor:      t.Anchor,
-			Matched:     t.Matched,
-			Entities:    c.schema.NumEntities(),
-			Attributes:  c.schema.NumAttributes(),
-		})
-	}
-	stats.PhaseTightness = time.Since(start)
 	ranked := rankResults(results, limit, &stats)
 	if shadowEns != nil {
-		sins := make(map[string]*shadowInput, len(cands))
-		for i := range cands {
-			if c := &cands[i]; c.schema != nil && c.mats != nil {
-				sins[c.schema.ID] = &shadowInput{
-					mats:    c.mats,
-					qe:      c.matrix.Query,
-					se:      c.matrix.Schema,
-					profile: c.profile,
-					schema:  c.schema,
-				}
-			}
-		}
 		e.shadowScore(ranked, sins, shadowEns, shadowVersion, &stats)
 	}
 	return ranked, stats, nil
@@ -1113,9 +971,9 @@ dispatch:
 // shadowScore rescores the served results under the candidate (shadow)
 // weight table and records the deltas into stats. Per result it recombines
 // the retained per-matcher matrices with the shadow weights and re-runs
-// the tightness/coverage/popularity arithmetic — identical operations to
-// the serving score, so candidate == current weights yields exactly zero
-// deltas. The served slice is never reordered or rescored; only stats
+// the tightness and final-score arithmetic with the popularity multiplier
+// the served score used — identical operations to the serving score, so
+// candidate == current weights yields exactly zero deltas. The served slice is never reordered or rescored; only stats
 // change. Results without retained inputs (impossible for served results
 // today — serving requires completion) are counted as zero-delta.
 func (e *Engine) shadowScore(served []Result, sins map[string]*shadowInput, shadowEns *match.Ensemble, shadowVersion uint64, stats *SearchStats) {
@@ -1132,21 +990,8 @@ func (e *Engine) shadowScore(served []Result, sins map[string]*shadowInput, shad
 			continue
 		}
 		m := shadowEns.CombineMatrices(in.qe, in.se, in.mats)
-		var t tightness.Result
-		if in.profile != nil {
-			t = tightness.ScoreProfiled(in.profile, m, e.opts.Tightness)
-		} else {
-			t = tightness.Score(in.schema, m, e.opts.Tightness)
-		}
-		cov := e.coverage(m)
-		final := t.Score
-		if e.opts.CoverageExponent > 0 {
-			final = t.Score * math.Pow(cov, e.opts.CoverageExponent)
-		}
-		if e.opts.PopularityBoost > 0 {
-			sel := float64(e.repo.Usage(res.ID).Selections)
-			final *= 1 + e.opts.PopularityBoost*sel/(sel+5)
-		}
+		t := tightness.ScoreProfiled(in.profile, m, e.opts.Tightness)
+		final := e.finalScore(t.Score, e.coverage(m), in.pop)
 		shadowScores[i] = final
 		if d := math.Abs(final - res.Score); d > maxDelta {
 			maxDelta = d
@@ -1179,8 +1024,7 @@ func (e *Engine) shadowScore(served []Result, sins map[string]*shadowInput, shad
 	stats.ShadowDisplaced = displaced
 }
 
-// rankResults is the shared tail of both ranking paths: the total result
-// order (score desc, coarse desc, ID asc — IDs are unique, so the order is
+// rankResults is the ranking tail: the total result order (score desc, coarse desc, ID asc — IDs are unique, so the order is
 // deterministic), the pre-truncation total, and the cut to limit.
 func rankResults(results []Result, limit int, stats *SearchStats) []Result {
 	sort.SliceStable(results, func(i, j int) bool {
@@ -1263,9 +1107,10 @@ func (e *Engine) CollectExamples(h History, negatives int) ([]learn.Example, err
 // pairExamples extracts one example per query element: the per-matcher
 // feature vector of the schema element with the best combined score.
 func (e *Engine) pairExamples(ensemble *match.Ensemble, q *query.Query, s *model.Schema, label bool) []learn.Example {
-	combined := ensemble.Match(q, s)
-	perMatcher := ensemble.PerMatcher(q, s)
-	names := ensemble.MatcherNames()
+	// One evaluation per matcher: the features are the per-matcher
+	// matrices, and combining them is exactly what Ensemble.Match does.
+	mats := ensemble.MatchMatrices(q, s)
+	combined := ensemble.CombineMatrices(q.Elements(), s.Elements(), mats)
 	var out []learn.Example
 	for qi := range combined.Query {
 		bestSi, bestV := -1, -1.0
@@ -1277,9 +1122,9 @@ func (e *Engine) pairExamples(ensemble *match.Ensemble, q *query.Query, s *model
 		if bestSi < 0 {
 			continue
 		}
-		features := make([]float64, len(names))
-		for j, n := range names {
-			v := perMatcher[n].Scores[qi][bestSi]
+		features := make([]float64, len(mats))
+		for j, mat := range mats {
+			v := mat.Scores[qi][bestSi]
 			if v == match.NotApplicable {
 				v = 0
 			}

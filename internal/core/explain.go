@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"schemr/internal/index"
 	"schemr/internal/match"
@@ -81,10 +80,7 @@ func (e *Engine) ExplainContext(ctx context.Context, q *query.Query, id string) 
 	ex.TopPairs = m.TopPairs(10)
 	ex.Tightness = tightness.Score(s, m, e.opts.Tightness)
 	ex.Coverage = e.coverage(m)
-	ex.Final = ex.Tightness.Score
-	if e.opts.CoverageExponent > 0 {
-		ex.Final = ex.Tightness.Score * math.Pow(ex.Coverage, e.opts.CoverageExponent)
-	}
+	ex.Final = e.finalScore(ex.Tightness.Score, ex.Coverage, 1)
 	return ex, nil
 }
 

@@ -168,3 +168,53 @@ func TestTrainFromFeedbackDeterministic(t *testing.T) {
 		t.Fatalf("trained weights rejected: %v", err)
 	}
 }
+
+// TestShadowParityUnderConcurrentSelections: with the popularity boost on,
+// selections recorded while searches run must not open a gap between a
+// served score and its shadow score. Each candidate's popularity is read
+// once and reused for its bound, its served score and its shadow score,
+// so a shadow ensemble carrying the serving weights reports zero delta
+// and zero displacement on every search. Run with -race.
+func TestShadowParityUnderConcurrentSelections(t *testing.T) {
+	e, _ := newEngine(t, Options{PopularityBoost: 0.5})
+	if err := e.SetShadowWeights(1, e.Ensemble().Weights()); err != nil {
+		t.Fatal(err)
+	}
+	repo := e.Repository()
+	var ids []string
+	for _, s := range repo.All() {
+		ids = append(ids, s.ID)
+	}
+	q := paperQuery(t)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			repo.RecordSelection(ids[i%len(ids)])
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 300; i++ {
+		results, stats, err := e.SearchWithStats(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) == 0 {
+			t.Fatal("paper query returned nothing")
+		}
+		if stats.ShadowScoreDelta != 0 || stats.ShadowDisplaced != 0 {
+			t.Fatalf("search %d: identical weights gave delta %g, displaced %d",
+				i, stats.ShadowScoreDelta, stats.ShadowDisplaced)
+		}
+	}
+}

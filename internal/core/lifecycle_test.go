@@ -43,7 +43,8 @@ func (m *gateMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
 
 // cancelEngine builds an engine over n near-identical schemas that all match
 // the query "patient", with the gate matcher installed, serial dispatch, and
-// the profile cache off so the matcher's plain Match path runs.
+// the profile cache off. The gate matcher has no profiled path, so its plain
+// Match runs.
 func cancelEngine(t *testing.T, n int, gm *gateMatcher) *Engine {
 	t.Helper()
 	repo := repository.New()

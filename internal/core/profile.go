@@ -29,6 +29,9 @@ import (
 type profileCache struct {
 	parts []profilePart
 	total atomic.Int64 // live entries across partitions, mirrored to size
+	// off makes get build a fresh profile every time and keep none
+	// (Options.DisableProfileCache), so the map stays empty.
+	off bool
 
 	// Observability instruments (nil-safe; nil when metrics are disabled).
 	// hits/misses measure the lookup economics on the search path; evicts
@@ -48,11 +51,11 @@ type profilePart struct {
 	m  map[string]*match.Profile
 }
 
-func newProfileCache(shards int) *profileCache {
+func newProfileCache(shards int, off bool) *profileCache {
 	if shards < 1 {
 		shards = 1
 	}
-	c := &profileCache{parts: make([]profilePart, shards)}
+	c := &profileCache{parts: make([]profilePart, shards), off: off}
 	for i := range c.parts {
 		c.parts[i].m = make(map[string]*match.Profile)
 	}
@@ -78,7 +81,8 @@ func (c *profileCache) instrument(reg *obs.Registry) {
 }
 
 // get returns the profile for (id, s), building and caching one when the
-// cached entry is missing or was built from a different schema value.
+// cached entry is missing or was built from a different schema value. A
+// disabled cache builds one per call and keeps none.
 func (c *profileCache) get(id string, s *model.Schema) *match.Profile {
 	pt := c.part(id)
 	pt.mu.RLock()
@@ -96,6 +100,9 @@ func (c *profileCache) get(id string, s *model.Schema) *match.Profile {
 		c.grams.Set(int64(match.GramDictSize()))
 	} else {
 		p = match.NewProfile(s)
+	}
+	if c.off {
+		return p
 	}
 	pt.mu.Lock()
 	// Keep a racing writer's profile if it is for the same schema value;

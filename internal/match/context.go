@@ -45,8 +45,9 @@ func (cm *ContextMatcher) Cost() int { return CostNeighborhood }
 // structural skeleton of Match and MatchProfiled, declared without any
 // soft-Jaccard work. This is what lets the cascade bound a candidate's
 // keyword coverage exactly before the most expensive matcher runs.
-func (cm *ContextMatcher) ScoreBounds(qe []query.Element, se []model.Element, out []float64) {
-	for qi, qel := range qe {
+func (cm *ContextMatcher) ScoreBounds(qa *QueryArtifacts, p *Profile, out []float64) {
+	se := p.elems
+	for qi, qel := range qa.elems {
 		row := out[qi*len(se) : (qi+1)*len(se)]
 		if qel.IsKeyword() {
 			for si := range row {
@@ -289,9 +290,6 @@ func (cm *ContextMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 // artifacts and the schema profile; only the cross-side term-pair
 // similarities are computed here, memoized per candidate in a dense table.
 func (cm *ContextMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	if cm.nm.maxGram != qa.maxGram || cm.nm.maxGram != p.maxGram {
-		return cm.Match(qa.query, p.schema)
-	}
 	m := NewMatrix(qa.elems, p.elems)
 	ts := newTermSims(qa.vectorsFor(p), p.vecs)
 	defer ts.release()

@@ -79,7 +79,7 @@ type missingGram struct {
 // left out of the vectors but still counted in their mass, and seen is the
 // dictionary length every lookup observed: any gram missing now that is
 // interned later gets an id at or above seen.
-func (d *gramDict) vectors(terms []string, maxGram int, insert bool) (vecs []gramVec, hi, seen uint32) {
+func (d *gramDict) vectors(terms []string, insert bool) (vecs []gramVec, hi, seen uint32) {
 	const unknown = ^uint32(0)
 	var ids []uint32
 	bounds := make([]int, len(terms)+1)

@@ -265,27 +265,27 @@ func (e *Ensemble) MatchMatrices(q *query.Query, s *model.Schema) []*Matrix {
 // fall back to their plain Match. The result is identical to
 // Match(qa.Query(), p.Schema()).
 func (e *Ensemble) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	return e.combine(qa.elems, p.elems, e.MatchMatricesProfiled(qa, p))
-}
-
-// MatchMatricesProfiled is MatchMatrices on the profiled fast path.
-func (e *Ensemble) MatchMatricesProfiled(qa *QueryArtifacts, p *Profile) []*Matrix {
 	mats := make([]*Matrix, len(e.matchers))
 	for i, m := range e.matchers {
-		if pm, ok := m.(ProfiledMatcher); ok {
-			mats[i] = pm.MatchProfiled(qa, p)
-		} else {
-			mats[i] = m.Match(qa.query, p.schema)
-		}
+		mats[i] = matchProfiled(m, qa, p)
 	}
-	return mats
+	return e.combine(qa.elems, p.elems, mats)
+}
+
+// matchProfiled runs one matcher on the profiled fast path when it
+// implements ProfiledMatcher, and its plain Match otherwise.
+func matchProfiled(m Matcher, qa *QueryArtifacts, p *Profile) *Matrix {
+	if pm, ok := m.(ProfiledMatcher); ok {
+		return pm.MatchProfiled(qa, p)
+	}
+	return m.Match(qa.query, p.schema)
 }
 
 // CombineMatrices merges per-matcher matrices (in ensemble order, as
-// returned by MatchMatrices / MatchMatricesProfiled / Progressive.Matrices)
-// with this ensemble's current weight table. Combined with WithWeights it
-// is the shadow-scoring primitive: one set of matcher evaluations, two
-// weightings, identical arithmetic to Match.
+// returned by MatchMatrices / Progressive.Matrices) with this ensemble's
+// current weight table. Combined with WithWeights it is the shadow-scoring
+// primitive: one set of matcher evaluations, two weightings, identical
+// arithmetic to Match.
 func (e *Ensemble) CombineMatrices(qe []query.Element, se []model.Element, mats []*Matrix) *Matrix {
 	if len(mats) != len(e.matchers) {
 		panic(fmt.Sprintf("match: CombineMatrices got %d matrices for %d matchers", len(mats), len(e.matchers)))
@@ -305,7 +305,7 @@ func (e *Ensemble) combine(qe []query.Element, se []model.Element, mats []*Matri
 // combineWeighted is the shared merge: the per-cell weighted average over
 // the matchers with an opinion, with mats and w aligned in ensemble order.
 // The cascade's Progressive.Combine calls it with a weight snapshot so its
-// arithmetic (and so its scores) are identical to the exhaustive path.
+// arithmetic (and so its scores) are identical to Match.
 func combineWeighted(qe []query.Element, se []model.Element, mats []*Matrix, w []float64) *Matrix {
 	combined := NewMatrix(qe, se)
 	for qi := range qe {
@@ -327,16 +327,6 @@ func combineWeighted(qe []query.Element, se []model.Element, mats []*Matrix, w [
 		}
 	}
 	return combined
-}
-
-// PerMatcher runs every matcher separately and returns the matrices keyed
-// by matcher name — the feature extraction path for the meta-learner.
-func (e *Ensemble) PerMatcher(q *query.Query, s *model.Schema) map[string]*Matrix {
-	out := make(map[string]*Matrix, len(e.matchers))
-	for _, m := range e.matchers {
-		out[m.Name()] = m.Match(q, s)
-	}
-	return out
 }
 
 // TopPairs lists the strongest (query element, schema element) pairs of a

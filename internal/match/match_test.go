@@ -373,20 +373,6 @@ func TestTopPairs(t *testing.T) {
 	}
 }
 
-func TestPerMatcher(t *testing.T) {
-	e := ExtendedEnsemble()
-	q := mustQuery(t, query.Input{Keywords: "diagnosis"})
-	mats := e.PerMatcher(q, clinicCandidate())
-	if len(mats) != 4 {
-		t.Fatalf("per-matcher matrices = %d", len(mats))
-	}
-	for _, name := range e.MatcherNames() {
-		if mats[name] == nil {
-			t.Errorf("missing matrix for %q", name)
-		}
-	}
-}
-
 func TestMatrixSetPanicsOnBadScore(t *testing.T) {
 	m := NewMatrix(nil, nil)
 	_ = m

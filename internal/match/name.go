@@ -15,19 +15,14 @@ import (
 // original query": normalization removes delimiter/casing noise, and
 // sub-word n-grams connect "pt_hght" to "patient height" and "diagnoses"
 // to "diagnosis".
-type NameMatcher struct {
-	// maxGram caps n-gram length to bound cost on pathological names;
-	// names shorter than the cap still use their full length.
-	maxGram int
-}
+type NameMatcher struct{}
 
-// defaultMaxGram is the n-gram cap used by NewNameMatcher and by the
-// precomputed profiles; a matcher with a different cap falls back to
-// computing grams itself rather than reusing profile grams.
-const defaultMaxGram = 32
+// maxGram caps n-gram length to bound cost on pathological names; names
+// shorter than the cap still use their full length.
+const maxGram = 32
 
-// NewNameMatcher returns a name matcher with the default n-gram cap (32).
-func NewNameMatcher() *NameMatcher { return &NameMatcher{maxGram: defaultMaxGram} }
+// NewNameMatcher returns a name matcher (n-grams capped at 32 runes).
+func NewNameMatcher() *NameMatcher { return &NameMatcher{} }
 
 // Name implements Matcher.
 func (nm *NameMatcher) Name() string { return "name" }
@@ -73,7 +68,7 @@ func charBucket(r rune) int {
 // gramMass returns the total n-gram multiset mass of a name of length l
 // under the cap: sum over k=1..min(l,maxGram) of (l-k+1) — exactly
 // text.NGrams' output size.
-func gramMass(l, maxGram int) int {
+func gramMass(l int) int {
 	m := maxGram
 	if l < m {
 		m = l
@@ -81,14 +76,8 @@ func gramMass(l, maxGram int) int {
 	return m*l - m*(m-1)/2
 }
 
-func (nm *NameMatcher) nameStats(name string) nameStats {
-	return nm.nameStatsNormalized(text.Normalize(name))
-}
-
-// nameStatsNormalized builds the bound artifacts of an already-normalized
-// name; the precomputed profiles hold normalized forms and use this to
-// avoid normalizing twice.
-func (nm *NameMatcher) nameStatsNormalized(n string) nameStats {
+// newNameStats builds the bound artifacts of an already-normalized name.
+func newNameStats(n string) nameStats {
 	var st nameStats
 	runes := []rune(n)
 	for _, r := range runes {
@@ -107,7 +96,7 @@ func (nm *NameMatcher) nameStatsNormalized(n string) nameStats {
 			st.bmask[pc>>6] |= 1 << (pc & 63)
 		}
 	}
-	st.mass = gramMass(len(runes), nm.maxGram)
+	st.mass = gramMass(len(runes))
 	return st
 }
 
@@ -118,12 +107,12 @@ func (nm *NameMatcher) nameStatsNormalized(n string) nameStats {
 // whose class pair b also has ("links") therefore delimit every such
 // occurrence; a maximal run of l links spans l+1 characters and holds at
 // most gramMass(l+1)−(l+1) occurrences of length ≥ 2.
-func linkMass(a, b *nameStats, maxGram int) int {
+func linkMass(a, b *nameStats) int {
 	mass, run := 0, 0
 	flush := func() {
 		if run > 0 {
 			n := run + 1
-			mass += gramMass(n, maxGram) - n
+			mass += gramMass(n) - n
 			run = 0
 		}
 	}
@@ -145,7 +134,7 @@ func linkMass(a, b *nameStats, maxGram int) int {
 // The bound is tight exactly on the weak tail the cascade wants to abandon
 // before the n-gram walk runs: names sharing stray characters but few
 // adjacent pairs get a bound near the unigram floor.
-func boundPair(a, b *nameStats, maxGram int) float64 {
+func boundPair(a, b *nameStats) float64 {
 	if a.mass == 0 || b.mass == 0 {
 		return 0 // gramSim of an empty multiset is exactly 0
 	}
@@ -163,8 +152,8 @@ func boundPair(a, b *nameStats, maxGram int) float64 {
 	if ub < ua {
 		ua = ub
 	}
-	long := linkMass(a, b, maxGram)
-	if m := linkMass(b, a, maxGram); m < long {
+	long := linkMass(a, b)
+	if m := linkMass(b, a); m < long {
 		long = m
 	}
 	inter := ua + long
@@ -186,37 +175,14 @@ func boundPair(a, b *nameStats, maxGram int) float64 {
 }
 
 // ScoreBounds implements BoundedMatcher: every cell is applicable (Match
-// scores all pairs), bounded by boundPair on the two names' character
-// statistics — O(cells) integer arithmetic instead of O(cells) n-gram map
-// walks.
-func (nm *NameMatcher) ScoreBounds(qe []query.Element, se []model.Element, out []float64) {
-	qStats := make([]nameStats, len(qe))
-	for i, el := range qe {
-		qStats[i] = nm.nameStats(el.Name)
-	}
-	sStats := make([]nameStats, len(se))
-	for j, el := range se {
-		sStats[j] = nm.nameStats(el.Name)
-	}
-	nm.fillBounds(qStats, sStats, out)
-}
-
-// ScoreBoundsProfiled implements ProfiledBoundedMatcher: both sides' bound
-// artifacts are read from the precomputed profiles instead of being rebuilt
-// per candidate.
-func (nm *NameMatcher) ScoreBoundsProfiled(qa *QueryArtifacts, p *Profile, out []float64) {
-	if nm.maxGram != qa.maxGram || nm.maxGram != p.maxGram {
-		nm.ScoreBounds(qa.elems, p.elems, out)
-		return
-	}
-	nm.fillBounds(qa.stats, p.stats, out)
-}
-
-func (nm *NameMatcher) fillBounds(qStats, sStats []nameStats, out []float64) {
-	for i := range qStats {
-		row := out[i*len(sStats) : (i+1)*len(sStats)]
-		for j := range sStats {
-			row[j] = boundPair(&qStats[i], &sStats[j], nm.maxGram)
+// scores all pairs), bounded by boundPair on the two names' precomputed
+// character statistics — O(cells) integer arithmetic instead of O(cells)
+// n-gram merge passes.
+func (nm *NameMatcher) ScoreBounds(qa *QueryArtifacts, p *Profile, out []float64) {
+	for i := range qa.stats {
+		row := out[i*len(p.stats) : (i+1)*len(p.stats)]
+		for j := range p.stats {
+			row[j] = boundPair(&qa.stats[i], &p.stats[j])
 		}
 	}
 }
@@ -236,11 +202,7 @@ func (nm *NameMatcher) grams(s string) map[string]int {
 // callers that hold normalized forms (the sim cache, profiles) use it to
 // avoid normalizing twice.
 func (nm *NameMatcher) gramsNormalized(n string) map[string]int {
-	max := len([]rune(n))
-	if max > nm.maxGram {
-		max = nm.maxGram
-	}
-	return text.NGramSet(n, 1, max)
+	return text.NGramSet(n, 1, min(len([]rune(n)), maxGram))
 }
 
 // gramSim blends two views of n-gram overlap: the Dice coefficient, which
@@ -301,9 +263,6 @@ func (nm *NameMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 // vectors are read from the precomputed artifacts, and each cell is one
 // merge pass over two sorted id lists instead of a walk over two maps.
 func (nm *NameMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	if nm.maxGram != qa.maxGram || nm.maxGram != p.maxGram {
-		return nm.Match(qa.query, p.schema)
-	}
 	qv := qa.vectorsFor(p)
 	m := NewMatrix(qa.elems, p.elems)
 	for i := range qa.elems {

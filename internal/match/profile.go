@@ -25,11 +25,10 @@ import (
 // callers cache profiles keyed by schema identity so a replaced schema is
 // never scored through a stale profile.
 type Profile struct {
-	schema  *model.Schema
-	elems   []model.Element
-	stats   []nameStats // name score-bound artifacts, aligned with elems
-	class   []typeClass // coarse type classes, aligned with elems
-	maxGram int         // n-gram cap the gram vectors were built with
+	schema *model.Schema
+	elems  []model.Element
+	stats  []nameStats // name score-bound artifacts, aligned with elems
+	class  []typeClass // coarse type classes, aligned with elems
 
 	terms termIndex
 	vecs  []gramVec // interned gram vectors, aligned with terms.norm
@@ -91,28 +90,24 @@ func (ti *termIndex) nameOf(i int) string { return ti.norm[ti.name[i]] }
 func (ti *termIndex) context(i int) []int32 { return ti.ctx[ti.ctxOff[i]:ti.ctxOff[i+1]] }
 
 // NewProfile precomputes the match profile of a schema, interning the
-// n-grams of its terms into the process-wide gram dictionary. The gram
-// vectors use the default name-matcher cap; a NameMatcher configured
-// differently detects the mismatch and recomputes rather than reusing them.
+// n-grams of its terms into the process-wide gram dictionary.
 func NewProfile(s *model.Schema) *Profile {
-	nm := NewNameMatcher()
 	elems := s.Elements()
 	p := &Profile{
-		schema:  s,
-		elems:   elems,
-		stats:   make([]nameStats, len(elems)),
-		class:   schemaTypeClasses(elems),
-		maxGram: nm.maxGram,
-		graph:   model.NewEntityGraph(s),
+		schema: s,
+		elems:  elems,
+		stats:  make([]nameStats, len(elems)),
+		class:  schemaTypeClasses(elems),
+		graph:  model.NewEntityGraph(s),
 	}
 	ctx := contextSetsWith(p.graph, s)
 	p.terms = buildTerms(len(elems),
 		func(i int) string { return elems[i].Name },
 		func(i int) []string { return ctx[elems[i].Ref] })
 	for i := range elems {
-		p.stats[i] = nm.nameStatsNormalized(p.terms.nameOf(i))
+		p.stats[i] = newNameStats(p.terms.nameOf(i))
 	}
-	p.vecs, p.hi, _ = dict.vectors(p.terms.norm, p.maxGram, true)
+	p.vecs, p.hi, _ = dict.vectors(p.terms.norm, true)
 
 	p.anchors = make([]string, 0, len(s.Entities))
 	for _, e := range s.Entities {
@@ -150,11 +145,10 @@ func (p *Profile) AnchorDistances(anchor string) map[string]int { return p.dists
 // read-only afterwards apart from the internally synchronized vector
 // refresh, and safe for concurrent use by the parallel match workers.
 type QueryArtifacts struct {
-	query   *query.Query
-	elems   []query.Element
-	stats   []nameStats
-	class   []typeClass
-	maxGram int
+	query *query.Query
+	elems []query.Element
+	stats []nameStats
+	class []typeClass
 
 	terms termIndex
 	mu    sync.Mutex // serializes refreshes of vecs
@@ -175,14 +169,12 @@ type queryVecs struct {
 
 // NewQueryArtifacts precomputes the query side of the matcher ensemble.
 func NewQueryArtifacts(q *query.Query) *QueryArtifacts {
-	nm := NewNameMatcher()
 	elems := q.Elements()
 	qa := &QueryArtifacts{
-		query:   q,
-		elems:   elems,
-		stats:   make([]nameStats, len(elems)),
-		class:   queryTypeClasses(q, elems),
-		maxGram: nm.maxGram,
+		query: q,
+		elems: elems,
+		stats: make([]nameStats, len(elems)),
+		class: queryTypeClasses(q, elems),
 	}
 	fragCtx := make([]map[model.ElementRef][]string, len(q.Fragments))
 	for fi, frag := range q.Fragments {
@@ -197,7 +189,7 @@ func NewQueryArtifacts(q *query.Query) *QueryArtifacts {
 			return fragCtx[elems[i].Fragment][elems[i].Ref]
 		})
 	for i := range elems {
-		qa.stats[i] = nm.nameStatsNormalized(qa.terms.nameOf(i))
+		qa.stats[i] = newNameStats(qa.terms.nameOf(i))
 	}
 	qa.vecs.Store(qa.lookup())
 	return qa
@@ -206,7 +198,7 @@ func NewQueryArtifacts(q *query.Query) *QueryArtifacts {
 // lookup resolves the query's gram vectors against the dictionary as it
 // is now.
 func (qa *QueryArtifacts) lookup() *queryVecs {
-	vecs, _, seen := dict.vectors(qa.terms.norm, qa.maxGram, false)
+	vecs, _, seen := dict.vectors(qa.terms.norm, false)
 	qv := &queryVecs{vecs: vecs, seen: seen}
 	for _, v := range vecs {
 		n := 0

@@ -46,8 +46,8 @@ func matcherCost(m Matcher) int {
 }
 
 // BoundedMatcher is the optional per-cell score-bound declaration of a
-// Matcher: ScoreBounds fills out (row-major, len(qe)*len(se)) with, for
-// every cell, either
+// Matcher: ScoreBounds fills out (row-major, rows × columns of the query
+// artifacts' and the profile's elements) with, for every cell, either
 //
 //   - NotApplicable, promising the matcher will report that cell
 //     NotApplicable (its weight is renormalized away there), or
@@ -59,25 +59,17 @@ func matcherCost(m Matcher) int {
 //
 // ScoreBounds must run in o(Match) time — structural checks (keyword rows,
 // element-kind mismatches, empty derived sets) and cheap size/character
-// arithmetic, never the similarity computation itself. The cascade's
-// byte-identical-results guarantee rests on these being sound certainties:
-// a Match result above its declared bound, or applicable where NotApplicable
-// was promised, would break exactness.
+// arithmetic on the precomputed artifacts, never the similarity
+// computation itself. The cascade's byte-identical-results guarantee rests
+// on these being sound certainties: a Match result above its declared
+// bound, or applicable where NotApplicable was promised, would break
+// exactness.
 //
 // The payoff: without bounds, an unevaluated matcher forces every cell's
 // upper bound to assume it scores 1, which keeps weak candidates' bounds
 // too high to ever abandon — the expensive matchers would always run.
 type BoundedMatcher interface {
-	ScoreBounds(qe []query.Element, se []model.Element, out []float64)
-}
-
-// ProfiledBoundedMatcher is the profiled fast path of BoundedMatcher,
-// mirroring ProfiledMatcher: same contract, but the bounds are derived
-// from precomputed artifacts instead of reparsing names per candidate.
-// Preferred over ScoreBounds whenever the evaluation is profiled.
-type ProfiledBoundedMatcher interface {
-	BoundedMatcher
-	ScoreBoundsProfiled(qa *QueryArtifacts, p *Profile, out []float64)
+	ScoreBounds(qa *QueryArtifacts, p *Profile, out []float64)
 }
 
 // Progressive evaluates an ensemble against one candidate matcher by
@@ -116,13 +108,8 @@ type ProfiledBoundedMatcher interface {
 // engine's match workers each own one per candidate.
 type Progressive struct {
 	ens *Ensemble
-
-	// Unprofiled inputs (q, s) or profiled inputs (qa, p); exactly one
-	// pair is set.
-	q  *query.Query
-	s  *model.Schema
-	qa *QueryArtifacts
-	p  *Profile
+	qa  *QueryArtifacts
+	p   *Profile
 
 	qe []query.Element
 	se []model.Element
@@ -144,15 +131,25 @@ type Progressive struct {
 // progressives recycles released evaluations, scratch arrays included.
 var progressives sync.Pool
 
-// progressive builds the shared state for both entry points, reusing a
-// released evaluation's scratch arrays when the pool has one.
-func (e *Ensemble) progressive(qe []query.Element, se []model.Element) *Progressive {
+// resize returns s with length n, reallocating only when its capacity is
+// too small.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// NewProgressive starts a progressive evaluation of the query artifacts
+// against one candidate profile, reusing a released evaluation's scratch
+// arrays when the pool has one; Combine returns exactly MatchProfiled(qa, p).
+func (e *Ensemble) NewProgressive(qa *QueryArtifacts, p *Profile) *Progressive {
 	pm, _ := progressives.Get().(*Progressive)
 	if pm == nil {
 		pm = &Progressive{}
 	}
-	nm, cells := len(e.matchers), len(qe)*len(se)
-	pm.ens, pm.qe, pm.se = e, qe, se
+	nm, cells := len(e.matchers), len(qa.elems)*len(p.elems)
+	pm.ens, pm.qa, pm.p, pm.qe, pm.se = e, qa, p, qa.elems, p.elems
 	pm.weights = resize(pm.weights, nm)
 	pm.order = resize(pm.order, nm)
 	pm.bounds = resize(pm.bounds, nm)
@@ -166,9 +163,6 @@ func (e *Ensemble) progressive(qe []query.Element, se []model.Element) *Progress
 		return s
 	}
 	pm.sum, pm.wsum, pm.num, pm.den = take(), take(), take(), take()
-	for i := range pm.bounds {
-		pm.bounds[i] = take()
-	}
 	for i, m := range e.matchers {
 		pm.weights[i] = e.weights[m.Name()]
 		pm.order[i] = i
@@ -176,37 +170,18 @@ func (e *Ensemble) progressive(qe []query.Element, se []model.Element) *Progress
 	slices.SortStableFunc(pm.order, func(a, b int) int {
 		return matcherCost(e.matchers[a]) - matcherCost(e.matchers[b])
 	})
-	return pm
-}
-
-// resize returns s with length n, reallocating only when its capacity is
-// too small.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// initBounds collects every matcher's declared score bounds into the
-// num/den mass arrays; called after the constructor has attached the
-// (un)profiled inputs so profiled bound paths can reach the artifacts.
-func (pm *Progressive) initBounds() {
-	for i, m := range pm.ens.matchers {
+	// Collect every matcher's declared score bounds into the num/den mass
+	// arrays; an undeclared matcher is assumed to score 1 on every cell.
+	for i, m := range e.matchers {
 		w := pm.weights[i]
-		bs := pm.bounds[i] // scratch from the pooled buffer; kept only if filled
 		pm.bounds[i] = nil
+		bs := take() // scratch from the pooled buffer; kept only if filled
 		if w == 0 {
 			continue // contributes nothing to any cell
 		}
-		if pbm, ok := m.(ProfiledBoundedMatcher); ok && pm.qa != nil {
-			pbm.ScoreBoundsProfiled(pm.qa, pm.p, bs)
+		if bm, ok := m.(BoundedMatcher); ok {
+			bm.ScoreBounds(qa, p, bs)
 			pm.bounds[i] = bs
-		} else if bm, ok := m.(BoundedMatcher); ok {
-			bm.ScoreBounds(pm.qe, pm.se, bs)
-			pm.bounds[i] = bs
-		}
-		if bs := pm.bounds[i]; bs != nil {
 			for c, b := range bs {
 				if b != NotApplicable {
 					pm.num[c] += w * b
@@ -220,23 +195,6 @@ func (pm *Progressive) initBounds() {
 			}
 		}
 	}
-}
-
-// NewProgressive starts a progressive evaluation on the unprofiled path;
-// Combine returns exactly Match(q, s).
-func (e *Ensemble) NewProgressive(q *query.Query, s *model.Schema) *Progressive {
-	pm := e.progressive(q.Elements(), s.Elements())
-	pm.q, pm.s = q, s
-	pm.initBounds()
-	return pm
-}
-
-// NewProgressiveProfiled starts a progressive evaluation on the profiled
-// fast path; Combine returns exactly MatchProfiled(qa, p).
-func (e *Ensemble) NewProgressiveProfiled(qa *QueryArtifacts, p *Profile) *Progressive {
-	pm := e.progressive(qa.elems, p.elems)
-	pm.qa, pm.p = qa, p
-	pm.initBounds()
 	return pm
 }
 
@@ -256,18 +214,7 @@ func (pm *Progressive) Step() {
 	i := pm.order[pm.next]
 	pm.next++
 	m := pm.ens.matchers[i]
-	var mat *Matrix
-	if pm.qa != nil {
-		// Mirror Ensemble.MatchProfiled: profiled fast path when the
-		// matcher implements it, plain Match otherwise.
-		if prof, ok := m.(ProfiledMatcher); ok {
-			mat = prof.MatchProfiled(pm.qa, pm.p)
-		} else {
-			mat = m.Match(pm.qa.query, pm.p.schema)
-		}
-	} else {
-		mat = m.Match(pm.q, pm.s)
-	}
+	mat := matchProfiled(m, pm.qa, pm.p)
 	pm.mats[i] = mat
 	w := pm.weights[i]
 	if w == 0 {
@@ -332,10 +279,10 @@ func (pm *Progressive) Bounds(colUB, rowUB []float64) {
 }
 
 // Combine returns the combined similarity matrix, byte-identical to the
-// corresponding Ensemble.Match / MatchProfiled call: the per-matcher
-// matrices are merged in ensemble order with the weight snapshot taken at
-// construction, so the floating-point operation order matches the
-// exhaustive path exactly. It panics unless every matcher has been
+// corresponding Ensemble.MatchProfiled (and so Ensemble.Match) call: the
+// per-matcher matrices are merged in ensemble order with the weight
+// snapshot taken at construction, so the floating-point operation order
+// matches Match exactly. It panics unless every matcher has been
 // evaluated.
 func (pm *Progressive) Combine() *Matrix {
 	if pm.Remaining() > 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"schemr/internal/query"
+	"schemr/internal/text"
 	"schemr/internal/webtables"
 )
 
@@ -29,7 +30,7 @@ func TestProgressiveCostOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := webtables.GenerateRelational(5, 3)[0]
-	pm := e.NewProgressive(q, s)
+	pm := e.NewProgressive(NewQueryArtifacts(q), NewProfile(s))
 	var costs []int
 	for _, i := range pm.order {
 		costs = append(costs, matcherCost(e.matchers[i]))
@@ -45,9 +46,9 @@ func TestProgressiveCostOrdering(t *testing.T) {
 	}
 }
 
-// TestProgressiveCombineMatchesMatch: the progressive path's combined
-// matrix must be byte-identical to Ensemble.Match / MatchProfiled, on both
-// the profiled and unprofiled paths, with uniform and learned weights.
+// TestProgressiveCombineMatchesMatch: the progressive evaluation's combined
+// matrix must be byte-identical to the map-based Ensemble.Match reference,
+// with uniform and learned weights.
 func TestProgressiveCombineMatchesMatch(t *testing.T) {
 	e := fullEnsemble(t)
 	q, err := query.Parse(query.Input{
@@ -71,30 +72,22 @@ func TestProgressiveCombineMatchesMatch(t *testing.T) {
 		qa := NewQueryArtifacts(q)
 		for si, s := range schemas {
 			want := e.Match(q, s)
-			pm := e.NewProgressive(q, s)
+			pm := e.NewProgressive(qa, NewProfile(s))
 			for pm.Remaining() > 0 {
 				pm.Step()
 			}
 			if got := pm.Combine(); !reflect.DeepEqual(got.Scores, want.Scores) {
 				t.Fatalf("weights %d schema %d: progressive != Match", wi, si)
 			}
-
-			p := NewProfile(s)
-			wantP := e.MatchProfiled(qa, p)
-			pmp := e.NewProgressiveProfiled(qa, p)
-			for pmp.Remaining() > 0 {
-				pmp.Step()
-			}
-			if got := pmp.Combine(); !reflect.DeepEqual(got.Scores, wantP.Scores) {
-				t.Fatalf("weights %d schema %d: progressive profiled != MatchProfiled", wi, si)
-			}
 		}
 	}
 }
 
-// TestProgressiveBoundsAdmissible: after every step, the per-column and
-// per-row upper bounds must dominate the final combined matrix (within the
-// engine's 1e-9 slack), and must be exact once all matchers are evaluated.
+// TestProgressiveBoundsAdmissible: before the first step and after every
+// step, the per-column and per-row upper bounds the cascade reads must
+// dominate the final combined matrix of the Ensemble.Match reference
+// (within the engine's 1e-9 slack), and must be exact once all matchers
+// are evaluated.
 func TestProgressiveBoundsAdmissible(t *testing.T) {
 	e := fullEnsemble(t)
 	rng := rand.New(rand.NewSource(41))
@@ -112,6 +105,7 @@ func TestProgressiveBoundsAdmissible(t *testing.T) {
 		t.Fatal(err)
 	}
 	const slack = 1e-9
+	qa := NewQueryArtifacts(q)
 	for _, s := range webtables.GenerateRelational(29, 10) {
 		want := e.Match(q, s)
 		wantCol := make([]float64, len(want.Schema))
@@ -127,13 +121,10 @@ func TestProgressiveBoundsAdmissible(t *testing.T) {
 				}
 			}
 		}
-		pm := e.NewProgressive(q, s)
+		pm := e.NewProgressive(qa, NewProfile(s))
 		colUB := make([]float64, pm.Cols())
 		rowUB := make([]float64, pm.Rows())
-		steps := 0
-		for pm.Remaining() > 0 {
-			pm.Step()
-			steps++
+		for steps := 0; ; steps++ {
 			pm.Bounds(colUB, rowUB)
 			for si, ub := range colUB {
 				if ub+slack < wantCol[si] {
@@ -145,6 +136,10 @@ func TestProgressiveBoundsAdmissible(t *testing.T) {
 					t.Fatalf("step %d: row %d bound %v below final %v", steps, qi, ub, wantRow[qi])
 				}
 			}
+			if pm.Remaining() == 0 {
+				break
+			}
+			pm.Step()
 		}
 		// All matchers evaluated: the bounds collapse to the exact maxima.
 		for si, ub := range colUB {
@@ -164,7 +159,7 @@ func TestProgressiveBoundsTightenMonotonically(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := webtables.GenerateRelational(7, 4)[1]
-	pm := e.NewProgressive(q, s)
+	pm := e.NewProgressive(NewQueryArtifacts(q), NewProfile(s))
 	prev := make([]float64, pm.Cols())
 	for i := range prev {
 		prev[i] = 1
@@ -189,6 +184,7 @@ func TestProgressiveBoundsTightenMonotonically(t *testing.T) {
 // admissibility contract the cascade's byte-identical guarantee rests on.
 func TestNameBoundSound(t *testing.T) {
 	nm := NewNameMatcher()
+	stats := func(name string) nameStats { return newNameStats(text.Normalize(name)) }
 	rng := rand.New(rand.NewSource(97))
 	alphabet := []rune("abcdefgstuvxyz0189_ -éß日")
 	randName := func() string {
@@ -207,10 +203,10 @@ func TestNameBoundSound(t *testing.T) {
 	}
 	checked := 0
 	for _, a := range names {
-		sa := nm.nameStats(a)
+		sa := stats(a)
 		for _, b := range names {
-			sb := nm.nameStats(b)
-			bound := boundPair(&sa, &sb, nm.maxGram)
+			sb := stats(b)
+			bound := boundPair(&sa, &sb)
 			if got := nm.Similarity(a, b); got > bound+1e-12 {
 				t.Fatalf("boundPair(%q, %q) = %v below exact similarity %v", a, b, bound, got)
 			}
@@ -239,7 +235,7 @@ func TestProgressiveReleaseReuse(t *testing.T) {
 	for i, s := range webtables.GenerateRelational(31, 12) {
 		e := ensembles[i%len(ensembles)]
 		want := e.MatchProfiled(qa, NewProfile(s))
-		pm := e.NewProgressiveProfiled(qa, NewProfile(s))
+		pm := e.NewProgressive(qa, NewProfile(s))
 		for pm.Remaining() > 0 {
 			pm.Step()
 		}

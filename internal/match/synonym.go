@@ -93,7 +93,8 @@ func (sm *SynonymMatcher) Cost() int { return CostSets }
 // bound min/max (the intersection is at most the smaller side, the union at
 // least the larger). Computed from the per-element word sets alone,
 // O(rows+cols) tokenizations instead of Match's cross-product.
-func (sm *SynonymMatcher) ScoreBounds(qe []query.Element, se []model.Element, out []float64) {
+func (sm *SynonymMatcher) ScoreBounds(qa *QueryArtifacts, p *Profile, out []float64) {
+	qe, se := qa.elems, p.elems
 	colSets := make([]int, len(se))
 	for si, el := range se {
 		colSets[si] = len(sm.wordSets(el.Name))
